@@ -28,11 +28,29 @@ digests (see :mod:`repro.rewriting.store`):
 
 plus the *rewriting target* (``"ucq"`` or ``"datalog"``): the two
 targets compile to different artifact kinds (an exploded UCQ vs. a
-stratified rule program), stored in separate tables and addressed by
-keys that can never collide.  A session opened with ``target="auto"``
-stores entries under the *resolved* target, so the estimator-driven
-choice -- which is a pure function of (ontology, query, budget) --
-hits the same entries in every process.
+stratified rule program) addressed by keys that can never collide.  A
+session opened with ``target="auto"`` stores entries under the
+*resolved* target, so the estimator-driven choice -- which is a pure
+function of (ontology, query, budget) -- hits the same entries in
+every process.
+
+Layout
+------
+
+Every artifact -- UCQ rewritings, Datalog rewritings and the hybrid
+layer's materialized-core snapshots (:mod:`repro.hybrid.store`) --
+is one row of a single ``artifacts`` table: the string key, its
+``kind`` (``ucq``/``datalog``/``core``), the key's ontology digest,
+an *eviction group* digest, the budget digest, the engine version,
+the input query's text and a JSON ``payload`` that the kind's codec
+writes and reads.  The eviction group is the digest of the *full*
+ontology the artifact was compiled for: it equals the key's digest
+except for rows compiled against a subset of the ontology (a SPLIT
+session's residual rewritings, core snapshots), which are grouped
+with the ontology that owns them so
+:meth:`RewritingCache.evict_ontologies` retires them together.
+Adding an artifact kind means adding a codec and a typed entry point,
+not a table.
 
 Robustness
 ----------
@@ -51,7 +69,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro import obs
 from repro.lang.parser import parse_program, parse_ucq
@@ -63,24 +81,28 @@ from repro.rewriting.datalog_target import DatalogRewriting
 from repro.rewriting.rewriter import RewritingResult
 from repro.rewriting.store import budget_digest, ontology_digest, query_digest
 
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 """On-disk layout version; a mismatch resets the cache file.
 
-Version 2 added the ``datalog_rewritings`` table (the nonrecursive-
-Datalog target's artifacts) and the target discriminator in cache keys.
-Version 3 added the ``query_text`` column to both tables: the canonical
-text of the *input* query, which makes stored entries enumerable --
-the serving layer's boot warm-up (:meth:`repro.api.Session.warm_up`)
-re-prepares every stored query of an ontology so a restarted server
-reaches steady state with zero fresh rewrites.
-Version 4 added the ``materialized_cores`` table: chased-core
-snapshots of the hybrid answering layer (:mod:`repro.hybrid.store`),
-keyed by (core rules, ABox, budget) and carrying the full ontology
-digest so :meth:`RewritingCache.evict_ontologies` retires them
-together with the ontology's rewritings.
+Version 2 added the Datalog target's artifacts and the target
+discriminator in cache keys.  Version 3 added the canonical text of
+the *input* query, which makes stored entries enumerable -- the serving
+layer's boot warm-up (:meth:`repro.api.Session.warm_up`) re-prepares
+every stored query of an ontology so a restarted server reaches steady
+state with zero fresh rewrites.  Version 4 added materialized-core
+snapshots of the hybrid answering layer (:mod:`repro.hybrid.store`).
+Version 5 folds the three per-kind tables of version 4
+(``rewritings``, ``datalog_rewritings``, ``materialized_cores``) into
+the one ``artifacts`` table, whose eviction-group column keeps a SPLIT
+session's residual rewritings with the ontology that owns them.
 """
 
+_COUNT_NAMES = {"ucq": "ucq", "datalog": "datalog", "core": "cores"}
+"""Artifact kind -> its key in :meth:`RewritingCache.counts`."""
+
 DEFAULT_CACHE_FILENAME = "rewritings.sqlite"
+
+_T = TypeVar("_T")
 
 
 def _engine_version() -> str:
@@ -149,7 +171,7 @@ class CacheStats:
 
 
 class RewritingCache:
-    """SQLite-backed persistent map ``CacheKey -> RewritingResult``.
+    """SQLite-backed persistent map from keys to compiled artifacts.
 
     One cache file serves any number of ontologies, budgets and engine
     versions concurrently (the key embeds all of them), from any number
@@ -205,10 +227,12 @@ class RewritingCache:
             "SELECT value FROM meta WHERE key = 'schema_version'"
         ).fetchone()
         if row is not None and row[0] != str(CACHE_SCHEMA_VERSION):
+            # Drops the per-kind tables of schema v4 too.
             connection.executescript(
                 "DROP TABLE IF EXISTS rewritings; "
                 "DROP TABLE IF EXISTS datalog_rewritings; "
                 "DROP TABLE IF EXISTS materialized_cores; "
+                "DROP TABLE IF EXISTS artifacts; "
                 "DELETE FROM meta;"
             )
             row = None
@@ -220,55 +244,24 @@ class RewritingCache:
             )
         connection.execute(
             """
-            CREATE TABLE IF NOT EXISTS rewritings (
+            CREATE TABLE IF NOT EXISTS artifacts (
                 cache_key       TEXT PRIMARY KEY,
+                kind            TEXT NOT NULL,
                 ontology_digest TEXT NOT NULL,
-                query_digest    TEXT NOT NULL,
+                group_digest    TEXT NOT NULL,
                 budget_digest   TEXT NOT NULL,
                 engine_version  TEXT NOT NULL,
-                complete        INTEGER NOT NULL,
-                depth_reached   INTEGER NOT NULL,
-                generated       INTEGER NOT NULL,
-                explored        INTEGER NOT NULL,
-                per_depth       TEXT NOT NULL,
-                ucq             TEXT NOT NULL,
-                query_text      TEXT NOT NULL DEFAULT '',
-                created_at      TEXT NOT NULL DEFAULT (datetime('now'))
-            )
-            """
-        )
-        connection.execute(
-            "CREATE INDEX IF NOT EXISTS ix_rewritings_ontology "
-            "ON rewritings (ontology_digest)"
-        )
-        connection.execute(
-            """
-            CREATE TABLE IF NOT EXISTS datalog_rewritings (
-                cache_key       TEXT PRIMARY KEY,
-                ontology_digest TEXT NOT NULL,
-                payload         TEXT NOT NULL,
-                query_text      TEXT NOT NULL DEFAULT '',
-                created_at      TEXT NOT NULL DEFAULT (datetime('now'))
-            )
-            """
-        )
-        connection.execute(
-            "CREATE INDEX IF NOT EXISTS ix_datalog_rewritings_ontology "
-            "ON datalog_rewritings (ontology_digest)"
-        )
-        connection.execute(
-            """
-            CREATE TABLE IF NOT EXISTS materialized_cores (
-                cache_key       TEXT PRIMARY KEY,
-                ontology_digest TEXT NOT NULL,
+                query_text      TEXT NOT NULL,
                 payload         TEXT NOT NULL,
                 created_at      TEXT NOT NULL DEFAULT (datetime('now'))
             )
             """
         )
+        # Covers counts(), ontologies() and the stored_queries() seek,
+        # so none of them scans the payload pages into the page cache.
         connection.execute(
-            "CREATE INDEX IF NOT EXISTS ix_materialized_cores_ontology "
-            "ON materialized_cores (ontology_digest)"
+            "CREATE INDEX IF NOT EXISTS ix_artifacts_kind "
+            "ON artifacts (kind, ontology_digest, group_digest)"
         )
         connection.commit()
         return connection
@@ -321,43 +314,14 @@ class RewritingCache:
 
     def get(self, key: CacheKey) -> RewritingResult | None:
         """The stored rewriting under *key*, or None.  Never raises."""
-        with self._lock:
-            if self._connection is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT complete, depth_reached, generated, explored, "
-                    "per_depth, ucq FROM rewritings WHERE cache_key = ?",
-                    (key.combined,),
-                ).fetchone()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                row = None
-            if row is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                result = _decode_result(row)
-            except Exception:
-                # Undecodable entry (torn write, hand-edited file):
-                # drop it and recompute.
-                self._record_error("decode")
-                self._delete(key)
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            self._hits += 1
-            obs.count("api.cache.hits")
-            return result
+        return self._load(key.combined, _decode_result)
 
     def put(
         self,
         key: CacheKey,
         result: RewritingResult,
         query_text: str = "",
+        group: str | None = None,
     ) -> None:
         """Persist *result* under *key*.  Never raises.
 
@@ -365,100 +329,28 @@ class RewritingCache:
         it makes the entry reachable by :meth:`stored_queries` (warm-up
         enumeration).  Empty is allowed -- the entry still serves
         lookups, it just cannot be re-prepared by digest alone.
+        *group* is the eviction group (see the module docstring); None
+        groups the entry under the key's own ontology digest.
         """
-        with self._lock:
-            if self._connection is None:
-                return
-            try:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO rewritings "
-                    "(cache_key, ontology_digest, query_digest, "
-                    " budget_digest, engine_version, complete, "
-                    " depth_reached, generated, explored, per_depth, ucq, "
-                    " query_text) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        key.combined,
-                        key.ontology_digest,
-                        key.query_digest,
-                        key.budget_digest,
-                        key.engine_version,
-                        int(result.complete),
-                        result.depth_reached,
-                        result.generated,
-                        result.explored,
-                        json.dumps(list(result.per_depth)),
-                        format_ucq(result.ucq),
-                        query_text,
-                    ),
-                )
-                self._connection.commit()
-                self._writes += 1
-                obs.count("api.cache.writes")
-            except sqlite3.DatabaseError:
-                self._quarantine()
+        self._store_keyed("ucq", key, _encode_result(result), query_text, group)
 
     def get_datalog(self, key: CacheKey) -> DatalogRewriting | None:
         """The stored Datalog-target rewriting under *key*, or None.
         Never raises."""
-        with self._lock:
-            if self._connection is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT payload FROM datalog_rewritings "
-                    "WHERE cache_key = ?",
-                    (key.combined,),
-                ).fetchone()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                row = None
-            if row is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                result = _decode_datalog(row[0])
-            except Exception:
-                self._record_error("decode")
-                self._delete(key, table="datalog_rewritings")
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            self._hits += 1
-            obs.count("api.cache.hits")
-            return result
+        return self._load(key.combined, _decode_datalog)
 
     def put_datalog(
         self,
         key: CacheKey,
         result: DatalogRewriting,
         query_text: str = "",
+        group: str | None = None,
     ) -> None:
-        """Persist the Datalog-target *result* under *key*.  Never
-        raises."""
-        with self._lock:
-            if self._connection is None:
-                return
-            try:
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO datalog_rewritings "
-                    "(cache_key, ontology_digest, payload, query_text) "
-                    "VALUES (?, ?, ?, ?)",
-                    (
-                        key.combined,
-                        key.ontology_digest,
-                        _encode_datalog(result),
-                        query_text,
-                    ),
-                )
-                self._connection.commit()
-                self._writes += 1
-                obs.count("api.cache.writes")
-            except sqlite3.DatabaseError:
-                self._quarantine()
+        """Persist the Datalog-target *result* under *key* (arguments
+        as for :meth:`put`).  Never raises."""
+        self._store_keyed(
+            "datalog", key, _encode_datalog(result), query_text, group
+        )
 
     def get_core(self, cache_key: str) -> str | None:
         """The stored materialized-core snapshot payload, or None.
@@ -466,27 +358,7 @@ class RewritingCache:
         Keys come from :func:`repro.hybrid.store.core_key`; the payload
         is the opaque JSON produced by ``encode_core``.  Never raises.
         """
-        with self._lock:
-            if self._connection is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            try:
-                row = self._connection.execute(
-                    "SELECT payload FROM materialized_cores "
-                    "WHERE cache_key = ?",
-                    (cache_key,),
-                ).fetchone()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                row = None
-            if row is None:
-                self._misses += 1
-                obs.count("api.cache.misses")
-                return None
-            self._hits += 1
-            obs.count("api.cache.hits")
-            return str(row[0])
+        return self._load(cache_key, str)
 
     def put_core(
         self, cache_key: str, ontology_digest: str, payload: str
@@ -497,15 +369,84 @@ class RewritingCache:
         core subset's -- so :meth:`evict_ontologies` retires core
         snapshots together with the ontology's rewritings.
         """
+        self._store(
+            cache_key, "core", payload, digest=ontology_digest,
+            group=ontology_digest,
+        )
+
+    def _store_keyed(
+        self,
+        kind: str,
+        key: CacheKey,
+        payload: str,
+        query_text: str,
+        group: str | None,
+    ) -> None:
+        self._store(
+            key.combined,
+            kind,
+            payload,
+            digest=key.ontology_digest,
+            group=group or key.ontology_digest,
+            budget=key.budget_digest,
+            version=key.engine_version,
+            query_text=query_text,
+        )
+
+    def _load(self, cache_key: str, decode: Callable[[str], _T]) -> _T | None:
+        """Fetch and decode one payload: the lookup body every typed
+        ``get*`` shares.  Never raises."""
+        with self._lock:
+            row = None
+            if self._connection is not None:
+                try:
+                    row = self._connection.execute(
+                        "SELECT payload FROM artifacts WHERE cache_key = ?",
+                        (cache_key,),
+                    ).fetchone()
+                except sqlite3.DatabaseError:
+                    self._quarantine()
+            if row is not None:
+                try:
+                    value = decode(row[0])
+                except Exception:
+                    # Undecodable entry (torn write, hand-edited file):
+                    # drop it and recompute.
+                    self._record_error("decode")
+                    self._delete(cache_key)
+                else:
+                    self._hits += 1
+                    obs.count("api.cache.hits")
+                    return value
+            self._misses += 1
+            obs.count("api.cache.misses")
+            return None
+
+    def _store(
+        self,
+        cache_key: str,
+        kind: str,
+        payload: str,
+        *,
+        digest: str,
+        group: str,
+        budget: str = "",
+        version: str = "",
+        query_text: str = "",
+    ) -> None:
+        """Write one ``artifacts`` row -- one INSERT, one commit: the
+        store body every typed ``put*`` shares.  Never raises."""
         with self._lock:
             if self._connection is None:
                 return
             try:
                 self._connection.execute(
-                    "INSERT OR REPLACE INTO materialized_cores "
-                    "(cache_key, ontology_digest, payload) "
-                    "VALUES (?, ?, ?)",
-                    (cache_key, ontology_digest, payload),
+                    "INSERT OR REPLACE INTO artifacts (cache_key, kind, "
+                    "ontology_digest, group_digest, budget_digest, "
+                    "engine_version, query_text, payload) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (cache_key, kind, digest, group, budget, version,
+                     query_text, payload),
                 )
                 self._connection.commit()
                 self._writes += 1
@@ -513,12 +454,12 @@ class RewritingCache:
             except sqlite3.DatabaseError:
                 self._quarantine()
 
-    def _delete(self, key: CacheKey, table: str = "rewritings") -> None:
+    def _delete(self, cache_key: str) -> None:
         if self._connection is None:
             return
         try:
             self._connection.execute(
-                f"DELETE FROM {table} WHERE cache_key = ?", (key.combined,)
+                "DELETE FROM artifacts WHERE cache_key = ?", (cache_key,)
             )
             self._connection.commit()
         except sqlite3.DatabaseError:
@@ -539,62 +480,28 @@ class RewritingCache:
             return CacheStats(self._hits, self._misses, self._writes, self._errors)
 
     def __len__(self) -> int:
-        with self._lock:
-            if self._connection is None:
-                return 0
-            try:
-                row = self._connection.execute(
-                    "SELECT (SELECT COUNT(*) FROM rewritings) + "
-                    "(SELECT COUNT(*) FROM datalog_rewritings) + "
-                    "(SELECT COUNT(*) FROM materialized_cores)"
-                ).fetchone()
-                return int(row[0])
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return 0
+        rows = self._query("SELECT COUNT(*) FROM artifacts")
+        return int(rows[0][0]) if rows else 0
 
     def ontologies(self) -> Iterator[tuple[str, int]]:
-        """(ontology digest, entry count) pairs currently stored."""
-        with self._lock:
-            if self._connection is None:
-                return iter(())
-            try:
-                rows = self._connection.execute(
-                    "SELECT ontology_digest, COUNT(*) FROM ("
-                    "SELECT ontology_digest FROM rewritings "
-                    "UNION ALL "
-                    "SELECT ontology_digest FROM datalog_rewritings "
-                    "UNION ALL "
-                    "SELECT ontology_digest FROM materialized_cores) "
-                    "GROUP BY ontology_digest ORDER BY ontology_digest"
-                ).fetchall()
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return iter(())
+        """(eviction-group digest, entry count) pairs currently stored."""
+        rows = self._query(
+            "SELECT group_digest, COUNT(*) FROM artifacts "
+            "GROUP BY group_digest ORDER BY group_digest"
+        )
         return iter([(str(d), int(n)) for d, n in rows])
 
     def counts(self) -> dict[str, int]:
-        """Per-table entry counts: ``{"ucq": n, "datalog": m, "cores": k}``.
+        """Per-kind entry counts: ``{"ucq": n, "datalog": m, "cores": k}``.
 
         Never raises; a closed or broken cache reports zeros.
         """
-        with self._lock:
-            if self._connection is None:
-                return {"ucq": 0, "datalog": 0, "cores": 0}
-            try:
-                row = self._connection.execute(
-                    "SELECT (SELECT COUNT(*) FROM rewritings), "
-                    "(SELECT COUNT(*) FROM datalog_rewritings), "
-                    "(SELECT COUNT(*) FROM materialized_cores)"
-                ).fetchone()
-                return {
-                    "ucq": int(row[0]),
-                    "datalog": int(row[1]),
-                    "cores": int(row[2]),
-                }
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return {"ucq": 0, "datalog": 0, "cores": 0}
+        counts = dict.fromkeys(_COUNT_NAMES.values(), 0)
+        for kind, n in self._query(
+            "SELECT kind, COUNT(*) FROM artifacts GROUP BY kind"
+        ):
+            counts[_COUNT_NAMES[kind]] = int(n)
+        return counts
 
     def stored_queries(
         self,
@@ -607,45 +514,31 @@ class RewritingCache:
         The warm-up path: a restarting server lists what previous
         processes compiled for its ontology and re-prepares each entry,
         so steady state is reached with zero fresh rewrites.  Entries
-        written before schema v3 (empty ``query_text``) are skipped --
-        they still serve digest lookups, they just cannot be enumerated.
-        Filters narrow by ontology digest and -- via the structured key
-        prefix -- budget digest and engine version.  Never raises.
+        with an empty ``query_text`` are skipped -- they still serve
+        digest lookups, they just cannot be enumerated.  Filters narrow
+        by the key's ontology digest (never the eviction group: a SPLIT
+        session's residual rewritings must not be re-prepared against
+        the full ontology), budget digest and engine version.  Never
+        raises.
         """
-        with self._lock:
-            if self._connection is None:
-                return []
-            results: list[tuple[str, str]] = []
-            try:
-                for table, target in (
-                    ("rewritings", "ucq"),
-                    ("datalog_rewritings", "datalog"),
-                ):
-                    sql = (
-                        f"SELECT cache_key, query_text FROM {table} "
-                        "WHERE query_text != ''"
-                    )
-                    params: list[str] = []
-                    if ontology_digest is not None:
-                        sql += " AND ontology_digest = ?"
-                        params.append(ontology_digest)
-                    for row in self._connection.execute(sql, params):
-                        # combined key: version/target/ontology/budget/query
-                        parts = str(row[0]).split("/")
-                        if len(parts) != 5:
-                            continue
-                        if engine_version is not None and parts[0] != engine_version:
-                            continue
-                        if budget_digest is not None and parts[3] != budget_digest:
-                            continue
-                        results.append((str(row[1]), target))
-            except sqlite3.DatabaseError:
-                self._quarantine()
-                return []
-        return sorted(set(results))
+        sql = (
+            "SELECT DISTINCT query_text, kind FROM artifacts "
+            "WHERE kind IN ('ucq', 'datalog') AND query_text != ''"
+        )
+        params: list[str] = []
+        for column, value in (
+            ("ontology_digest", ontology_digest),
+            ("budget_digest", budget_digest),
+            ("engine_version", engine_version),
+        ):
+            if value is not None:
+                sql += f" AND {column} = ?"
+                params.append(value)
+        rows = self._query(sql + " ORDER BY query_text, kind", params)
+        return [(str(text), str(kind)) for text, kind in rows]
 
     def evict_ontologies(self, keep: set[str] | frozenset[str]) -> int:
-        """Drop entries whose ontology digest is not in *keep*.
+        """Drop entries whose eviction group is not in *keep*.
 
         Stale entries are unreachable anyway (the digest is part of the
         key); this reclaims their disk space.  Returns rows deleted.
@@ -654,23 +547,30 @@ class RewritingCache:
             if self._connection is None:
                 return 0
             try:
-                before = len(self)
                 placeholders = ",".join("?" for _ in keep) or "''"
-                for table in (
-                    "rewritings",
-                    "datalog_rewritings",
-                    "materialized_cores",
-                ):
-                    self._connection.execute(
-                        f"DELETE FROM {table} WHERE ontology_digest "
-                        f"NOT IN ({placeholders})",
-                        tuple(sorted(keep)),
-                    )
+                cursor = self._connection.execute(
+                    "DELETE FROM artifacts WHERE group_digest "
+                    f"NOT IN ({placeholders})",
+                    tuple(sorted(keep)),
+                )
                 self._connection.commit()
-                return before - len(self)
+                return cursor.rowcount
             except sqlite3.DatabaseError:
                 self._quarantine()
                 return 0
+
+    def _query(
+        self, sql: str, params: Sequence[str] = ()
+    ) -> list[tuple[Any, ...]]:
+        """All rows of a read-only *sql*; ``[]`` when closed or broken."""
+        with self._lock:
+            if self._connection is None:
+                return []
+            try:
+                return self._connection.execute(sql, params).fetchall()
+            except sqlite3.DatabaseError:
+                self._quarantine()
+                return []
 
 
 class EngineTier:
@@ -679,7 +579,10 @@ class EngineTier:
     Implements the :class:`repro.rewriting.engine.PersistentTier`
     protocol: the ontology/budget digests are fixed at construction
     (they are per-session), the query digest is computed per call, and
-    the engine version is read at call time.
+    the engine version is read at call time.  *group* is the eviction
+    group of every entry written (default: the digest of *rules*); an
+    engine compiling against a subset of a session's ontology passes
+    the full ontology's digest.
     """
 
     def __init__(
@@ -687,14 +590,14 @@ class EngineTier:
         cache: RewritingCache,
         rules: Sequence[TGD],
         budget: RewritingBudget,
+        group: str | None = None,
     ) -> None:
         self._cache = cache
         self._ontology_digest = ontology_digest(rules)
         self._budget_digest = budget_digest(budget)
+        self._group = group or self._ontology_digest
 
-    def _key(
-        self, ucq: UnionOfConjunctiveQueries, target: str = "ucq"
-    ) -> CacheKey:
+    def _key(self, ucq: UnionOfConjunctiveQueries, target: str) -> CacheKey:
         return CacheKey(
             ontology_digest=self._ontology_digest,
             query_digest=query_digest(ucq),
@@ -703,34 +606,51 @@ class EngineTier:
             target=target,
         )
 
-    def get(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult | None:
-        return self._cache.get(self._key(ucq))
+    def get(
+        self, ucq: UnionOfConjunctiveQueries, target: str
+    ) -> RewritingResult | DatalogRewriting | None:
+        if target == "datalog":
+            return self._cache.get_datalog(self._key(ucq, target))
+        return self._cache.get(self._key(ucq, target))
 
-    def put(self, ucq: UnionOfConjunctiveQueries, result: RewritingResult) -> None:
-        self._cache.put(self._key(ucq), result, query_text=format_ucq(ucq))
-
-    def get_datalog(
-        self, ucq: UnionOfConjunctiveQueries
-    ) -> DatalogRewriting | None:
-        return self._cache.get_datalog(self._key(ucq, target="datalog"))
-
-    def put_datalog(
-        self, ucq: UnionOfConjunctiveQueries, result: DatalogRewriting
+    def put(
+        self,
+        ucq: UnionOfConjunctiveQueries,
+        target: str,
+        artifact: RewritingResult | DatalogRewriting,
     ) -> None:
-        self._cache.put_datalog(
-            self._key(ucq, target="datalog"), result, query_text=format_ucq(ucq)
-        )
+        key = self._key(ucq, target)
+        text = format_ucq(ucq)
+        if isinstance(artifact, DatalogRewriting):
+            self._cache.put_datalog(
+                key, artifact, query_text=text, group=self._group
+            )
+        else:
+            self._cache.put(key, artifact, query_text=text, group=self._group)
 
 
-def _decode_result(row: Any) -> RewritingResult:
-    complete, depth_reached, generated, explored, per_depth, ucq_text = row
+def _encode_result(result: RewritingResult) -> str:
+    return json.dumps(
+        {
+            "complete": result.complete,
+            "depth_reached": result.depth_reached,
+            "generated": result.generated,
+            "explored": result.explored,
+            "per_depth": list(result.per_depth),
+            "ucq": format_ucq(result.ucq),
+        }
+    )
+
+
+def _decode_result(payload: str) -> RewritingResult:
+    data = json.loads(payload)
     return RewritingResult(
-        ucq=parse_ucq(ucq_text),
-        complete=bool(complete),
-        depth_reached=int(depth_reached),
-        generated=int(generated),
-        explored=int(explored),
-        per_depth=tuple(json.loads(per_depth)),
+        ucq=parse_ucq(data["ucq"]),
+        complete=bool(data["complete"]),
+        depth_reached=int(data["depth_reached"]),
+        generated=int(data["generated"]),
+        explored=int(data["explored"]),
+        per_depth=tuple(data["per_depth"]),
         # Derivation lineage is not persisted; disk-served results
         # answer queries identically but cannot explain disjuncts.
         lineage={},

@@ -557,10 +557,13 @@ class Session:
                 residual_engine = None
                 if decision.choice is HybridChoice.SPLIT:
                     tier = (
+                        # Keyed by the residual rules, evicted with
+                        # the full ontology that owns them.
                         EngineTier(
                             self._cache,
                             partition.residual,
                             self._options.budget,
+                            group=self.ontology_digest,
                         )
                         if self._cache is not None
                         else None
@@ -907,14 +910,14 @@ class Session:
 
         Enumerates the persistent tier's stored queries for this
         session's (ontology, budget, engine version) context -- both
-        the UCQ and Datalog tables -- and prepares each under its
+        the UCQ and Datalog targets -- and prepares each under its
         stored target, so every compilation is a disk hit and steady
         state is reached with zero fresh rewrites.  This is the serving
         layer's boot path: a restarted server warms its in-memory cache
         from what previous processes compiled.
 
-        Returns the number of entries warmed.  Entries written by
-        schema versions before 3 (no stored query text) are skipped;
+        Returns the number of entries warmed.  Entries stored without
+        query text are skipped;
         undecodable entries are counted on ``session.warmup.errors``
         and skipped.  No-op (0) without a persistent cache.
         """

@@ -10,9 +10,8 @@ core to the next process the way it already hands out rewritings.
 Snapshots are keyed by ``(engine version, core-rules digest, ABox
 digest, max_steps)`` — any change to the rules or the data produces a
 different key — while each row also carries the *full* ontology digest
-so ``evict_ontologies`` retires core snapshots together with the
-rewritings of a replaced ontology (the eviction-discipline bugfix this
-PR pins with a regression test).
+as the row's eviction group, so ``evict_ontologies`` retires core
+snapshots together with the rewritings of a replaced ontology.
 
 Term encoding reuses the SQL backend's tagged-text codec
 (``s:``/``i:``/``n:``), so null labels survive the round trip and the
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.data.database import Database
@@ -33,6 +32,9 @@ from repro.hybrid.maintain import Firing, MaterializedCore
 from repro.lang.atoms import Atom
 from repro.lang.tgd import TGD
 from repro.rewriting.store import ontology_digest
+
+if TYPE_CHECKING:
+    from repro.api.cache import RewritingCache
 
 #: Bump when the snapshot layout changes; stale payloads are ignored
 #: (the core is rebuilt and re-stored), never misread.
@@ -160,7 +162,7 @@ def decode_core(
 
 
 def load_or_build(
-    cache: object,
+    cache: RewritingCache | None,
     full_digest: str,
     rules: Sequence[TGD],
     base: Database,
@@ -170,14 +172,14 @@ def load_or_build(
 ) -> MaterializedCore:
     """Fetch a warm core from *cache* or chase and store a fresh one.
 
-    *cache* is a :class:`repro.api.cache.RewritingCache` (typed loosely
-    to keep this layer import-light); *full_digest* is the complete
+    *cache* is the persistent cache (imported for typing only, to
+    keep this layer import-light); *full_digest* is the complete
     ontology's digest used for eviction grouping.  Pass ``cache=None``
     to always build.
     """
     key = core_key(rules, abox_digest(base), max_steps)
     if cache is not None:
-        payload = cache.get_core(key)  # type: ignore[attr-defined]
+        payload = cache.get_core(key)
         if payload is not None:
             core = decode_core(
                 payload, rules, max_steps=max_steps, threshold=threshold
@@ -190,7 +192,5 @@ def load_or_build(
         rules, base, max_steps=max_steps, threshold=threshold
     )
     if cache is not None:
-        cache.put_core(  # type: ignore[attr-defined]
-            key, full_digest, encode_core(core)
-        )
+        cache.put_core(key, full_digest, encode_core(core))
     return core

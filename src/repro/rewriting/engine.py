@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from typing import NamedTuple, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence, Union, cast
 
 from repro import obs
 from repro.data.database import Database
@@ -75,33 +75,31 @@ class CacheInfo(NamedTuple):
     size: int
 
 
+Artifact = Union[RewritingResult, DatalogRewriting]
+"""A compiled rewriting: a UCQ (``target="ucq"``) or a nonrecursive-
+Datalog program (``target="datalog"``)."""
+
+
 class PersistentTier(Protocol):
     """Second-level rewriting cache the engine consults on memory miss.
 
-    Implemented by :class:`repro.api.cache.EngineTier`; any object with
-    the same two methods works.  Both methods must be safe to call from
-    multiple threads and must *never raise* -- a broken persistent tier
-    degrades to recomputation, it does not break answering.
+    Implemented by :class:`repro.api.cache.EngineTier`.  Both methods
+    take the concrete target (``ucq`` or ``datalog``) next to the query,
+    must be safe to call from multiple threads and must *never raise*
+    -- a broken persistent tier degrades to recomputation, it does not
+    break answering.
     """
 
-    def get(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult | None:
-        """The stored rewriting of *ucq*, or None."""
+    def get(
+        self, ucq: UnionOfConjunctiveQueries, target: str
+    ) -> Artifact | None:
+        """The stored *target* rewriting of *ucq*, or None."""
         ...
 
-    def put(self, ucq: UnionOfConjunctiveQueries, result: RewritingResult) -> None:
-        """Persist the rewriting of *ucq*."""
-        ...
-
-    def get_datalog(
-        self, ucq: UnionOfConjunctiveQueries
-    ) -> DatalogRewriting | None:
-        """The stored Datalog-target rewriting of *ucq*, or None."""
-        ...
-
-    def put_datalog(
-        self, ucq: UnionOfConjunctiveQueries, result: DatalogRewriting
+    def put(
+        self, ucq: UnionOfConjunctiveQueries, target: str, artifact: Artifact
     ) -> None:
-        """Persist the Datalog-target rewriting of *ucq*."""
+        """Persist the *target* rewriting of *ucq*."""
         ...
 
 
@@ -162,15 +160,14 @@ class FORewritingEngine:
         # NOT participate in cache keys or ENGINE_VERSION.
         self._minimize_workers = minimize_workers
         self._minimize_mode = minimize_mode
-        self._cache: dict[UnionOfConjunctiveQueries, RewritingResult] = {}
-        self._datalog_cache: dict[UnionOfConjunctiveQueries, DatalogRewriting] = {}
+        # One memory tier for both targets, keyed by (target, query).
+        self._cache: dict[tuple[str, UnionOfConjunctiveQueries], Artifact] = {}
         self._target_choice: dict[UnionOfConjunctiveQueries, str] = {}
         self._hits = 0
         self._misses = 0
         self._lock = threading.Lock()
-        self._inflight: dict[UnionOfConjunctiveQueries, threading.Event] = {}
-        self._datalog_inflight: dict[
-            UnionOfConjunctiveQueries, threading.Event
+        self._inflight: dict[
+            tuple[str, UnionOfConjunctiveQueries], threading.Event
         ] = {}
 
     @property
@@ -192,22 +189,18 @@ class FORewritingEngine:
         """Hits, misses and current size of the in-memory caches.
 
         Both targets share the hit/miss accounting; ``size`` counts
-        entries of the UCQ and Datalog tiers together.
+        entries of the UCQ and Datalog targets together.
         """
         with self._lock:
-            return CacheInfo(
-                self._hits,
-                self._misses,
-                len(self._cache) + len(self._datalog_cache),
-            )
+            return CacheInfo(self._hits, self._misses, len(self._cache))
 
     def cache_sizes(self) -> dict[str, int]:
         """Per-target in-memory cache entry counts."""
+        sizes = {"ucq": 0, "datalog": 0}
         with self._lock:
-            return {
-                "ucq": len(self._cache),
-                "datalog": len(self._datalog_cache),
-            }
+            for target, _ in self._cache:
+                sizes[target] += 1
+        return sizes
 
     def resolve_target(
         self,
@@ -278,59 +271,83 @@ class FORewritingEngine:
     def _rewrite(
         self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
     ) -> RewritingResult:
-        """The (cached) rewriting of *query* w.r.t. the engine's rules.
+        """The (cached) UCQ rewriting of *query* w.r.t. the engine's rules.
+
+        Internal entry point -- the public :meth:`rewrite` delegates
+        here after its deprecation notice, and
+        :class:`repro.api.PreparedQuery` calls it directly.
+        """
+        return cast(RewritingResult, self._lookup(query, "ucq"))
+
+    def _rewrite_datalog(
+        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
+    ) -> DatalogRewriting:
+        """The (cached) Datalog-target rewriting of *query*."""
+        return cast(DatalogRewriting, self._lookup(query, "datalog"))
+
+    def _lookup(
+        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries, target: str
+    ) -> Artifact:
+        """The (cached) *target* rewriting of *query*.
 
         Lookup order: in-memory cache, persistent tier (if attached),
-        fresh rewriting run.  Internal entry point -- the public
-        :meth:`rewrite` delegates here after its deprecation notice,
-        and :class:`repro.api.PreparedQuery` calls it directly.
+        fresh rewriting run.  Concurrent lookups of one (target, query)
+        are single-flighted.
         """
-        ucq = UnionOfConjunctiveQueries.of(query)
+        key = (target, UnionOfConjunctiveQueries.of(query))
         while True:
             with self._lock:
-                result = self._cache.get(ucq)
+                result = self._cache.get(key)
                 if result is not None:
                     self._hits += 1
                     obs.count("engine.cache_hits")
                     return result
-                waiter = self._inflight.get(ucq)
+                waiter = self._inflight.get(key)
                 if waiter is None:
-                    self._inflight[ucq] = threading.Event()
+                    self._inflight[key] = threading.Event()
                     break
             # Another thread is compiling this query; wait for its
             # entry and retry the lookup (counted as a hit: no work).
             waiter.wait()
         result = None
         try:
-            result = self._compile(ucq)
+            result = self._compile(key[1], target)
         finally:
             with self._lock:
                 if result is not None:
-                    self._cache[ucq] = result
-                self._inflight.pop(ucq).set()
+                    self._cache[key] = result
+                self._inflight.pop(key).set()
         return result
 
-    def _compile(self, ucq: UnionOfConjunctiveQueries) -> RewritingResult:
+    def _compile(
+        self, ucq: UnionOfConjunctiveQueries, target: str
+    ) -> Artifact:
         """Persistent-tier lookup, falling back to a rewriting run."""
         with self._lock:
             self._misses += 1
         obs.count("engine.cache_misses")
         if self._persistent is not None:
-            stored = self._persistent.get(ucq)
+            stored = self._persistent.get(ucq, target)
             if stored is not None:
                 obs.count("engine.disk_hits")
                 return stored
             obs.count("engine.disk_misses")
-        with obs.span("engine.rewrite", cached=False) as span:
+        with obs.span("engine.rewrite", cached=False, target=target) as span:
             rules: Sequence[TGD] = self._rules
             if self._filter_relevant:
                 from repro.rewriting.relevance import relevant_rules
 
                 rules = relevant_rules(ucq, rules).relevant
                 span.set(relevant_rules=len(rules))
-            if self._preflight_estimate:
+            if target == "ucq" and self._preflight_estimate:
                 self._preflight(ucq, rules)
-            result = rewrite(
+            # Looked up by module-global name on every call, so a
+            # rebound ``rewrite``/``rewrite_datalog`` (a profiler's
+            # wrapper, say) is honoured.
+            compiler: Callable[..., Artifact] = (
+                rewrite if target == "ucq" else rewrite_datalog
+            )
+            result = compiler(
                 ucq,
                 rules,
                 self._budget,
@@ -339,77 +356,7 @@ class FORewritingEngine:
             )
             span.set(complete=result.complete, size=result.size)
         if self._persistent is not None:
-            self._persistent.put(ucq, result)
-        return result
-
-    def _rewrite_datalog(
-        self, query: ConjunctiveQuery | UnionOfConjunctiveQueries
-    ) -> DatalogRewriting:
-        """The (cached) Datalog-target rewriting of *query*.
-
-        Same tiered lookup and single-flighting as :meth:`_rewrite`,
-        over a separate cache (the two targets' artifacts never mix).
-        """
-        ucq = UnionOfConjunctiveQueries.of(query)
-        while True:
-            with self._lock:
-                result = self._datalog_cache.get(ucq)
-                if result is not None:
-                    self._hits += 1
-                    obs.count("engine.cache_hits")
-                    return result
-                waiter = self._datalog_inflight.get(ucq)
-                if waiter is None:
-                    self._datalog_inflight[ucq] = threading.Event()
-                    break
-            waiter.wait()
-        result = None
-        try:
-            result = self._compile_datalog(ucq)
-        finally:
-            with self._lock:
-                if result is not None:
-                    self._datalog_cache[ucq] = result
-                self._datalog_inflight.pop(ucq).set()
-        return result
-
-    def _compile_datalog(
-        self, ucq: UnionOfConjunctiveQueries
-    ) -> DatalogRewriting:
-        """Persistent-tier lookup, falling back to a Datalog rewriting.
-
-        The persistent tier's ``get_datalog``/``put_datalog`` methods
-        are looked up dynamically so pre-existing tier implementations
-        (the protocol grew) keep working, merely without persistence.
-        """
-        with self._lock:
-            self._misses += 1
-        obs.count("engine.cache_misses")
-        getter = getattr(self._persistent, "get_datalog", None)
-        if getter is not None:
-            stored = getter(ucq)
-            if stored is not None:
-                obs.count("engine.disk_hits")
-                return stored
-            obs.count("engine.disk_misses")
-        with obs.span("engine.rewrite", cached=False, target="datalog") as span:
-            rules: Sequence[TGD] = self._rules
-            if self._filter_relevant:
-                from repro.rewriting.relevance import relevant_rules
-
-                rules = relevant_rules(ucq, rules).relevant
-                span.set(relevant_rules=len(rules))
-            result = rewrite_datalog(
-                ucq,
-                rules,
-                self._budget,
-                minimize_workers=self._minimize_workers,
-                minimize_mode=self._minimize_mode,
-            )
-            span.set(complete=result.complete, size=result.size)
-        putter = getattr(self._persistent, "put_datalog", None)
-        if putter is not None:
-            putter(ucq, result)
+            self._persistent.put(ucq, target, result)
         return result
 
     def _preflight(

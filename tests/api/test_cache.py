@@ -122,7 +122,10 @@ class TestRobustness:
         _compile(rules, tmp_path)
         path = tmp_path / DEFAULT_CACHE_FILENAME
         with sqlite3.connect(path) as connection:
-            connection.execute("UPDATE rewritings SET ucq = 'not a ) ucq'")
+            connection.execute(
+                "UPDATE artifacts SET payload = "
+                "json_set(payload, '$.ucq', 'not a ) ucq') WHERE kind = 'ucq'"
+            )
             connection.commit()
         ucq, trace = _compile(rules, tmp_path)
         assert trace.counter("api.cache.errors") == 1

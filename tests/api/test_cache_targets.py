@@ -2,7 +2,7 @@
 
 The ``target`` field joined :class:`CacheKey` with the Datalog target:
 UCQ and Datalog artifacts for the same (ontology, query, budget) live
-under distinct keys in distinct tables, a warm cache serves both
+under distinct keys (rows of distinct kinds), a warm cache serves both
 targets with zero fresh rewrites, and ``target="auto"`` resolves to
 the same concrete target in every interpreter process.
 """
@@ -59,7 +59,7 @@ class TestKeying:
             assert cache.get_datalog(key) is None
             cache.put_datalog(key, rewriting)
             served = cache.get_datalog(key)
-            # The UCQ table must not see the entry under the ucq key.
+            # The entry must not be served under the ucq key.
             ucq_key = CacheKey.of(rules, query, budget)
             assert cache.get(ucq_key) is None
         assert served is not None

@@ -69,7 +69,7 @@ class TestWarmUp:
         import sqlite3
 
         with sqlite3.connect(tmp_path / "rewritings.sqlite") as connection:
-            connection.execute("UPDATE rewritings SET query_text = ''")
+            connection.execute("UPDATE artifacts SET query_text = ''")
         with Session(rules, cache_dir=tmp_path) as warm:
             assert warm.warm_up() == 0
 

@@ -1,8 +1,8 @@
 """Regression tests: materialized-core rows obey the cache discipline.
 
-The eviction bugfix this PR pins: replacing an ontology must retire its
-core snapshots exactly like its rewritings — ``evict_ontologies`` (and
-the schema-version drop script) cover the ``materialized_cores`` table.
+Replacing an ontology must retire its core snapshots exactly like its
+rewritings — ``evict_ontologies`` (and the schema-version drop script)
+cover the ``core`` rows of the artifact table.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import sqlite3
 
 from repro.api.cache import RewritingCache
+
+V4_TABLES = ("rewritings", "datalog_rewritings", "materialized_cores")
 
 
 def test_core_rows_survive_reopen(tmp_path):
@@ -52,20 +54,32 @@ def test_put_core_overwrites_in_place(tmp_path):
 
 def test_schema_bump_drops_stale_core_tables(tmp_path):
     # Simulate a cache written by an older schema: rewind the recorded
-    # schema_version; reopening must rebuild the schema and drop the
-    # stale snapshot rather than misread it.
+    # schema_version and add the per-kind tables of schema v4;
+    # reopening must rebuild the schema and drop the stale snapshot
+    # and tables rather than misread them.
     with RewritingCache(tmp_path) as cache:
         cache.put_core("k1", "ont-a", "{}")
         path = cache.path
     connection = sqlite3.connect(path)
+    for table in V4_TABLES:
+        connection.execute(f"CREATE TABLE {table} (cache_key TEXT)")
     connection.execute(
-        "UPDATE meta SET value = '3' WHERE key = 'schema_version'"
+        "UPDATE meta SET value = '4' WHERE key = 'schema_version'"
     )
     connection.commit()
     connection.close()
     with RewritingCache(tmp_path) as cache:
         assert cache.get_core("k1") is None
         assert cache.counts() == {"ucq": 0, "datalog": 0, "cores": 0}
+    connection = sqlite3.connect(path)
+    tables = {
+        row[0]
+        for row in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    connection.close()
+    assert tables == {"meta", "artifacts"}
 
 
 def test_core_api_never_raises_on_closed_cache(tmp_path):

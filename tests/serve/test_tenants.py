@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.api import EngineOptions, RewritingCache
 from repro.data.database import Database
 from repro.lang.errors import ReproError
@@ -99,6 +100,36 @@ class TestEviction:
             assert registry.remove("x") == 0  # y still needs the entries
         with RewritingCache(tmp_path) as cache:
             assert len(cache) == 1
+
+
+    def test_remove_keeps_split_residual_rewritings(self, rules_b, tmp_path):
+        # A SPLIT tenant keys its residual rewritings by the residual
+        # rules' digest; removing an unrelated tenant must not evict
+        # them (nor the core snapshot) from under the live tenant.
+        from repro.workloads.interaction import split_workload
+
+        rules, query, data = split_workload()
+        options = EngineOptions(hybrid="split")
+        with TenantRegistry(cache_dir=tmp_path, options=options) as registry:
+            digest = registry.register("split", rules, data)
+            registry.register("other", rules_b)
+            expected = registry.session("split").answer(query)
+            assert registry.remove("other") == 0
+        with RewritingCache(tmp_path) as cache:
+            assert cache.counts() == {"ucq": 1, "datalog": 0, "cores": 1}
+            assert dict(cache.ontologies()) == {digest: 2}
+        # A restart serves the split tenant from the kept entries; the
+        # residual row is never re-prepared against the full ontology.
+        with obs.capture() as trace:
+            with TenantRegistry(
+                cache_dir=tmp_path, options=options
+            ) as restarted:
+                restarted.register("split", rules, data)
+                assert restarted.warm_all() == 0
+                assert restarted.session("split").answer(query) == expected
+        assert trace.counter("engine.disk_hits") == 1
+        assert trace.counter("hybrid.core_cache.hits") == 1
+        assert trace.counter("rewrite.cqs_generated") == 0
 
 
 class TestWarmAll:
