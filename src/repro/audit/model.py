@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lang.spans import Span
+from repro.lang.spans import LineIndex, Span
 
 #: Constructor callables (dotted suffixes) recognized as thread locks.
 LOCK_CONSTRUCTORS = frozenset(
@@ -116,6 +116,7 @@ class AuditFile:
         self.module_locks: dict[str, LockAttribute] = {}
         self.imports: dict[str, str] = {}
         self._line_offsets: list[int] | None = None
+        self._line_index: LineIndex | None = None
         self._suppressions: dict[int, tuple[frozenset[str], bool]] | None = None
         try:
             self.tree = ast.parse(text)
@@ -184,7 +185,7 @@ class AuditFile:
             end = start + 1
         else:
             end = offsets[end_lineno - 1] + end_col
-        return Span.from_offsets(self.text, start, max(end, start + 1))
+        return self._lines().span(start, max(end, start + 1))
 
     def span_at_line(self, lineno: int) -> Span | None:
         """A span covering all of source line *lineno* (1-based)."""
@@ -195,9 +196,16 @@ class AuditFile:
         end = offsets[lineno]
         while end > start and self.text[end - 1] in "\r\n":
             end -= 1
-        return Span.from_offsets(self.text, start, max(end, start + 1))
+        return self._lines().span(start, max(end, start + 1))
+
+    def _lines(self) -> LineIndex:
+        """Offset -> line/column, built once per file."""
+        if self._line_index is None:
+            self._line_index = LineIndex(self.text)
+        return self._line_index
 
     def _offsets(self) -> list[int]:
+        """Start offset of each ``splitlines`` line (lineno -> offset)."""
         if self._line_offsets is None:
             offsets = [0]
             for line in self.text.splitlines(keepends=True):

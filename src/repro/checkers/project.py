@@ -70,11 +70,11 @@ def parse_queries(text: str) -> tuple[ConjunctiveQuery, ...]:
     separate and may have different arities -- a workload is a set of
     independent queries, not one union.
     """
-    parser = _Parser(text)
     queries: list[ConjunctiveQuery] = []
-    while not parser.at_end():
-        queries.append(parser.query())
-        parser.statement_separator()
+    with _Parser(text) as parser:
+        while not parser.at_end():
+            queries.append(parser.query())
+            parser.statement_separator()
     return tuple(queries)
 
 

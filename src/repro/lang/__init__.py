@@ -25,7 +25,7 @@ from repro.lang.parser import (
 )
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.signature import Signature
-from repro.lang.spans import Span, offset_to_line_col
+from repro.lang.spans import LineIndex, Span, offset_to_line_col
 from repro.lang.substitution import Substitution
 from repro.lang.terms import Constant, Null, Term, Variable, fresh_variable
 from repro.lang.tgd import TGD
@@ -35,6 +35,7 @@ __all__ = [
     "Atom",
     "ConjunctiveQuery",
     "Constant",
+    "LineIndex",
     "Null",
     "ParseError",
     "Position",

@@ -31,12 +31,14 @@ Example::
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from collections.abc import Iterator
+from types import TracebackType
+from typing import NamedTuple
 
 from repro.lang.atoms import Atom
 from repro.lang.errors import ParseError
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
-from repro.lang.spans import Span
+from repro.lang.spans import LineIndex, Span
 from repro.lang.terms import Constant, Term, Variable
 from repro.lang.tgd import TGD
 
@@ -55,9 +57,21 @@ _TOKEN_SPEC = [
     ("STRING", r'"[^"\n]*"'),
     ("INT", r"-?\d+"),
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    # Any other character: no token starts here.  Matching it as a
+    # token keeps ``finditer`` from skipping ahead, so the match stream
+    # is exactly the left-to-right tokenization.
+    ("ERROR", r"[\s\S]"),
 ]
 
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in _TOKEN_SPEC))
+
+#: Token kinds the grammar sees; the rest are skipped (line breaks are
+#: recorded on the next token, see :attr:`_Token.after_newline`).
+_SIGNIFICANT = frozenset(
+    name
+    for name, _ in _TOKEN_SPEC
+    if name not in ("WS", "COMMENT", "NEWLINE", "ERROR")
+)
 
 
 class _Token(NamedTuple):
@@ -65,44 +79,85 @@ class _Token(NamedTuple):
     value: str
     pos: int
     end: int
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-        kind = match.lastgroup or ""
-        if kind not in ("WS", "COMMENT"):
-            yield _Token(kind, match.group(), pos, match.end())
-        pos = match.end()
-    yield _Token("EOF", "", pos, pos)
+    #: A line break lies between the previous significant token and this one.
+    after_newline: bool
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over a lazily pulled token stream.
+
+    Tokens are matched on demand and only the next two significant ones
+    are held (``label :`` is the deepest lookahead), so parsing a large
+    fact file costs memory for its atoms only.  Line/column positions
+    come from one :class:`LineIndex` per text.
+
+    Use it as a context manager.  An unexpected character anywhere in
+    the text is reported ahead of any grammar or safety error, so
+    leaving the block with an exception tokenizes the rest of the text,
+    and an unexpected character found there replaces the exception.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = list(_tokenize(text))
-        self.index = 0
+        self._lines = LineIndex(text)
+        self._matches: Iterator[re.Match[str]] = _TOKEN_RE.finditer(text)
+        self._second: _Token | None = None
+        self._last: _Token | None = None
+        self._lookahead = self._pull()
+
+    def __enter__(self) -> "_Parser":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        traceback: TracebackType | None,
+    ) -> None:
+        if isinstance(exc, Exception):
+            while self._pull().kind != "EOF":
+                pass
 
     # -- token plumbing ------------------------------------------------ #
 
-    def peek(self, skip_newlines: bool = True) -> _Token:
-        i = self.index
-        if skip_newlines:
-            while self.tokens[i].kind == "NEWLINE":
-                i += 1
-        return self.tokens[i]
+    def _pull(self) -> _Token:
+        """Match up to the next significant token (EOF once exhausted)."""
+        after_newline = False
+        for match in self._matches:
+            kind = match.lastgroup or ""
+            if kind in _SIGNIFICANT:
+                pos, end = match.span()
+                return _Token(kind, match.group(), pos, end, after_newline)
+            if kind == "NEWLINE":
+                after_newline = True
+            elif kind == "ERROR":
+                # The first unexpected character is the error; end the
+                # stream so draining cannot report a later one.
+                self._matches = iter(())
+                raise ParseError(
+                    f"unexpected character {match.group()!r}",
+                    self.text,
+                    match.start(),
+                )
+        end = len(self.text)
+        return _Token("EOF", "", end, end, after_newline)
 
-    def advance(self, skip_newlines: bool = True) -> _Token:
-        if skip_newlines:
-            while self.tokens[self.index].kind == "NEWLINE":
-                self.index += 1
-        token = self.tokens[self.index]
-        self.index += 1
+    def peek(self) -> _Token:
+        """The next significant token, not consumed."""
+        return self._lookahead
+
+    def _peek_second(self) -> _Token:
+        """The significant token after :meth:`peek`'s, not consumed."""
+        if self._second is None:
+            self._second = self._pull()
+        return self._second
+
+    def advance(self) -> _Token:
+        token = self._last = self._lookahead
+        if self._second is None:
+            self._lookahead = self._pull()
+        else:
+            self._lookahead, self._second = self._second, None
         return token
 
     def expect(self, kind: str) -> _Token:
@@ -116,12 +171,12 @@ class _Parser:
         return token
 
     def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+        return self._lookahead.kind == "EOF"
 
     def _span_from(self, start: _Token) -> Span:
         """Span from *start* to the last token consumed so far."""
-        last = self.tokens[self.index - 1] if self.index else start
-        return Span.from_offsets(self.text, start.pos, max(last.end, start.pos))
+        last = self._last or start
+        return self._lines.span(start.pos, max(last.end, start.pos))
 
     # -- grammar ------------------------------------------------------- #
 
@@ -164,27 +219,13 @@ class _Parser:
         start = self.peek()
         label = None
         # Lookahead for "label :" -- an IDENT followed by COLON.
-        if (
-            self.peek().kind == "IDENT"
-            and self.tokens[self._next_significant(1)].kind == "COLON"
-        ):
+        if start.kind == "IDENT" and self._peek_second().kind == "COLON":
             label = self.advance().value
             self.expect("COLON")
         body = self.atom_list()
         self.expect("ARROW")
         head = self.atom_list()
         return TGD(body, head, label=label, span=self._span_from(start))
-
-    def _next_significant(self, offset: int) -> int:
-        """Index of the *offset*-th significant token after the cursor."""
-        i = self.index
-        found = 0
-        while True:
-            if self.tokens[i].kind != "NEWLINE":
-                found += 1
-                if found > offset:
-                    return i
-            i += 1
 
     def query(self) -> ConjunctiveQuery:
         start = self.expect("IDENT")
@@ -220,32 +261,35 @@ class _Parser:
         return Variable(token.value)
 
     def statement_separator(self) -> None:
-        """Consume an optional period and any newlines."""
-        if self.peek(skip_newlines=False).kind == "PERIOD":
-            self.advance(skip_newlines=False)
-        while self.peek(skip_newlines=False).kind == "NEWLINE":
-            self.advance(skip_newlines=False)
+        """Consume an optional period on the statement's own line.
+
+        Line breaks separate statements by themselves; a period after
+        one is not a separator (``a(x)\\n.`` is rejected at the period).
+        """
+        token = self._lookahead
+        if token.kind == "PERIOD" and not token.after_newline:
+            self.advance()
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. ``r(X, "a", 3)``."""
-    parser = _Parser(text)
-    atom = parser.atom()
-    parser.statement_separator()
-    if not parser.at_end():
-        token = parser.peek()
-        raise ParseError("trailing input after atom", text, token.pos)
+    with _Parser(text) as parser:
+        atom = parser.atom()
+        parser.statement_separator()
+        if not parser.at_end():
+            token = parser.peek()
+            raise ParseError("trailing input after atom", text, token.pos)
     return atom
 
 
 def parse_tgd(text: str) -> TGD:
     """Parse a single TGD, e.g. ``r1: s(X,Y) -> r(X,Z)``."""
-    parser = _Parser(text)
-    rule = parser.tgd()
-    parser.statement_separator()
-    if not parser.at_end():
-        token = parser.peek()
-        raise ParseError("trailing input after TGD", text, token.pos)
+    with _Parser(text) as parser:
+        rule = parser.tgd()
+        parser.statement_separator()
+        if not parser.at_end():
+            token = parser.peek()
+            raise ParseError("trailing input after TGD", text, token.pos)
     return rule
 
 
@@ -255,12 +299,11 @@ def parse_program(text: str) -> tuple[TGD, ...]:
     Rules without an explicit label receive ``R1``, ``R2``, ... in
     order of appearance.
     """
-    parser = _Parser(text)
     rules: list[TGD] = []
-    while not parser.at_end():
-        rule = parser.tgd()
-        parser.statement_separator()
-        rules.append(rule)
+    with _Parser(text) as parser:
+        while not parser.at_end():
+            rules.append(parser.tgd())
+            parser.statement_separator()
     return tuple(
         rule
         if rule.label
@@ -271,33 +314,39 @@ def parse_program(text: str) -> tuple[TGD, ...]:
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse a single CQ, e.g. ``q(X) :- r(X, Y), s(Y)``."""
-    parser = _Parser(text)
-    query = parser.query()
-    parser.statement_separator()
-    if not parser.at_end():
-        token = parser.peek()
-        raise ParseError("trailing input after query", text, token.pos)
+    with _Parser(text) as parser:
+        query = parser.query()
+        parser.statement_separator()
+        if not parser.at_end():
+            token = parser.peek()
+            raise ParseError("trailing input after query", text, token.pos)
     return query
 
 
 def parse_ucq(text: str) -> UnionOfConjunctiveQueries:
     """Parse one or more CQs (a UCQ), separated by periods/newlines."""
-    parser = _Parser(text)
     disjuncts: list[ConjunctiveQuery] = []
-    while not parser.at_end():
-        disjuncts.append(parser.query())
-        parser.statement_separator()
+    with _Parser(text) as parser:
+        while not parser.at_end():
+            disjuncts.append(parser.query())
+            parser.statement_separator()
     return UnionOfConjunctiveQueries(disjuncts)
 
 
 def parse_database(text: str) -> tuple[Atom, ...]:
-    """Parse a sequence of ground atoms (facts)."""
-    parser = _Parser(text)
+    """Parse a sequence of ground atoms (facts).
+
+    Linear in the size of *text*: tokens stream through a two-token
+    lookahead and spans come from one :class:`LineIndex`, so a large
+    ABox costs memory for its atoms only.
+    """
     facts: list[Atom] = []
-    while not parser.at_end():
-        atom = parser.atom()
-        if not atom.is_ground():
-            raise ParseError(f"fact {atom} is not ground", text, 0)
-        parser.statement_separator()
-        facts.append(atom)
+    with _Parser(text) as parser:
+        while not parser.at_end():
+            start = parser.peek()
+            atom = parser.atom()
+            if not atom.is_ground():
+                raise ParseError(f"fact {atom} is not ground", text, start.pos)
+            parser.statement_separator()
+            facts.append(atom)
     return tuple(facts)

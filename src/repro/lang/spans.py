@@ -8,10 +8,17 @@ the raw character offsets.  Spans are attached by the parser and carried
 :class:`~repro.lang.queries.ConjunctiveQuery`, so the static-analysis
 layer (:mod:`repro.lint`) can point diagnostics at the offending
 source text.
+
+:func:`offset_to_line_col` and :meth:`Span.from_offsets` answer one
+offset by rescanning the text from the start; code that needs many
+answers over the same text (the parser: two per atom) builds one
+:class:`LineIndex` instead, which scans the newlines once and answers
+each offset by binary search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -85,3 +92,44 @@ def offset_to_line_col(text: str, offset: int) -> tuple[int, int]:
     last_newline = text.rfind("\n", 0, offset)
     column = offset - last_newline
     return line, column
+
+
+class LineIndex:
+    """Offset -> (line, column) over one text: one newline scan, then bisect.
+
+    Agrees exactly with :func:`offset_to_line_col` (offsets are clamped
+    to ``[0, len(text)]`` the same way) and :meth:`Span.from_offsets`,
+    at O(log lines) per offset instead of O(offset).
+    """
+
+    __slots__ = ("_starts", "_length")
+
+    def __init__(self, text: str) -> None:
+        starts = [0]
+        find = text.find
+        newline = find("\n")
+        while newline != -1:
+            starts.append(newline + 1)
+            newline = find("\n", newline + 1)
+        #: 0-based offset at which each line starts; line ``i`` is ``[i - 1]``.
+        self._starts = starts
+        self._length = len(text)
+
+    def line_col(self, offset: int) -> tuple[int, int]:
+        """1-based (line, column) of a character *offset*."""
+        offset = max(0, min(offset, self._length))
+        line = bisect_right(self._starts, offset)
+        return line, offset - self._starts[line - 1] + 1
+
+    def span(self, start: int, end: int) -> Span:
+        """Same as ``Span.from_offsets(text, start, end)``."""
+        line, column = self.line_col(start)
+        end_line, end_column = self.line_col(end)
+        return Span(
+            start=start,
+            end=end,
+            line=line,
+            column=column,
+            end_line=end_line,
+            end_column=end_column,
+        )

@@ -78,12 +78,12 @@ def parse_mappings(text: str) -> tuple[MappingAssertion, ...]:
     """
     from repro.lang.parser import _Parser
 
-    parser = _Parser(text)
     out: list[MappingAssertion] = []
-    while not parser.at_end():
-        body, target = parser.mapping()
-        parser.statement_separator()
-        out.append(MappingAssertion(source_body=tuple(body), target=target))
+    with _Parser(text) as parser:
+        while not parser.at_end():
+            body, target = parser.mapping()
+            parser.statement_separator()
+            out.append(MappingAssertion(source_body=tuple(body), target=target))
     return tuple(out)
 
 

@@ -129,6 +129,11 @@ class TestDatabaseParsing:
     def test_non_ground_fact_rejected(self):
         with pytest.raises(ParseError):
             parse_database("r(a, X)")
+        # The error points at the offending fact, not at the start of the text.
+        with pytest.raises(ParseError, match="is not ground") as info:
+            parse_database("r(a, b).\ns(c)\n  r(a, X).\ns(d)")
+        assert info.value.pos == 16
+        assert (info.value.span.line, info.value.span.column) == (3, 3)
 
 
 class TestRoundTrip:

@@ -25,6 +25,7 @@ def test_ruff_clean_on_lint_subsystem():
         [
             sys.executable, "-m", "ruff", "check",
             "src/repro/lint", "src/repro/checkers", "src/repro/lang/spans.py",
+            "src/repro/lang/parser.py",
         ],
         cwd=REPO,
         capture_output=True,
