@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseResult
+from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseResult, CompiledRule
 from repro.data.database import Database
-from repro.data.evaluation import all_homomorphisms
-from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
-from repro.lang.terms import Null, Term, Variable
+from repro.lang.terms import Null, Term
 from repro.lang.tgd import TGD
 
 
@@ -37,8 +35,8 @@ def skolem_chase(
     strict: bool = False,
 ) -> ChaseResult:
     """Run the Skolem chase up to *max_steps* trigger firings."""
-    rules = list(rules)
     instance = database.copy()
+    compiled = [CompiledRule(rule, instance) for rule in rules]
     skolem_table: dict[tuple[int, str, tuple[Term, ...]], Null] = {}
     steps = 0
     fired: set[tuple[int, tuple[Term, ...]]] = set()
@@ -46,12 +44,9 @@ def skolem_chase(
     changed = True
     while changed:
         changed = False
-        for rule_index, rule in enumerate(rules):
-            frontier = rule.distinguished_variables()
-            body_vars = rule.body_variables()
-            existential = rule.existential_head_variables()
-            for hom in list(all_homomorphisms(rule.body, instance)):
-                trigger_key = (rule_index, tuple(hom[v] for v in body_vars))
+        for rule_index, rule in enumerate(compiled):
+            for match in list(rule.matches(instance)):
+                trigger_key = (rule_index, match)
                 if trigger_key in fired:
                     continue
                 if steps >= max_steps:
@@ -62,9 +57,9 @@ def skolem_chase(
                     return ChaseResult(
                         instance, steps, False, len(skolem_table)
                     )
-                frontier_values = tuple(hom[v] for v in frontier)
-                assignment: dict[Variable, Term] = dict(hom)
-                for var in existential:
+                frontier_values = rule.frontier(match)
+                invented: list[Term] = []
+                for var in rule.existentials:
                     key = (rule_index, var.name, frontier_values)
                     null = skolem_table.get(key)
                     if null is None:
@@ -73,18 +68,9 @@ def skolem_chase(
                             + "".join(f"_{t}" for t in frontier_values)
                         )
                         skolem_table[key] = null
-                    assignment[var] = null
-                added = False
-                for atom in rule.head:
-                    fact = Atom(
-                        atom.relation,
-                        [
-                            assignment[t] if isinstance(t, Variable) else t
-                            for t in atom.terms
-                        ],
-                    )
-                    if instance.add(fact):
-                        added = True
+                    invented.append(null)
+                facts = rule.head_facts(match, tuple(invented))
+                added = instance.add_all(facts)
                 fired.add(trigger_key)
                 steps += 1
                 if added:

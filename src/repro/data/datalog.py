@@ -10,7 +10,12 @@ standalone component.
 Semi-naive evaluation avoids rederiving known facts: at each round,
 every rule is evaluated once per body atom with that atom restricted
 to the *delta* (facts new in the previous round) and the remaining
-atoms over the full instance.
+atoms over the full instance.  Each pass runs a delta-anchored plan of
+:mod:`repro.data.plan`: the anchor atom's variables are pre-bound
+slots filled from each delta fact, and the plan keeps only the head
+variables (bindings that agree on them derive the same facts).  The
+fixpoint is computed on a private copy, so it polls the evaluation
+deadline of :func:`repro.data.plan.deadline_after` like a query does.
 """
 
 from __future__ import annotations
@@ -19,11 +24,16 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.data.database import Database
-from repro.data.evaluation import _match_atom, _match_body  # noqa: SLF001
+from repro.data.plan import (
+    atom_matcher,
+    compile_plan,
+    current_deadline,
+    projection,
+)
 from repro.lang.atoms import Atom
 from repro.lang.errors import SafetyError
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
-from repro.lang.terms import Term, Variable
+from repro.lang.terms import Term
 from repro.lang.tgd import TGD
 
 
@@ -64,22 +74,23 @@ class DatalogProgram:
         """Compute the least fixpoint of the program over *database*."""
         instance = database.copy()
         delta = list(database.facts())
+        heads = [
+            [
+                (atom.relation, projection(rule.head_variables(), atom.terms))
+                for atom in rule.head
+            ]
+            for rule in self._rules
+        ]
         rounds = 0
         derived = 0
         while delta:
             rounds += 1
             delta_db = Database(delta)
             next_delta: list[Atom] = []
-            for rule in self._rules:
-                for binding in _semi_naive_matches(rule, instance, delta_db):
-                    for head in rule.head:
-                        fact = Atom(
-                            head.relation,
-                            [
-                                binding[t] if isinstance(t, Variable) else t
-                                for t in head.terms
-                            ],
-                        )
+            for rule, templates in zip(self._rules, heads):
+                for values in _semi_naive_matches(rule, instance, delta_db):
+                    for relation, terms in templates:
+                        fact = Atom(relation, terms(values))
                         if instance.add(fact):
                             next_delta.append(fact)
                             derived += 1
@@ -104,28 +115,39 @@ class DatalogProgram:
 
 def _semi_naive_matches(
     rule: TGD, instance: Database, delta: Database
-) -> Iterator[dict[Variable, Term]]:
-    """Bindings of the rule body using >= 1 delta fact.
+) -> Iterator[tuple[Term, ...]]:
+    """Head-variable values of rule-body matches using >= 1 delta fact.
 
     One pass per body position: atom *i* ranges over the delta, atoms
-    before and after it over the full instance; duplicate bindings
-    across passes are filtered.
+    before and after it over the full instance; values repeated across
+    passes are filtered.  Yields tuples over ``rule.head_variables()``.
     """
     seen: set[tuple[Term, ...]] = set()
-    body_vars = rule.body_variables()
+    head_vars = rule.head_variables()
+    deadline = current_deadline()
     body = list(rule.body)
     for pivot_index, pivot in enumerate(body):
-        rest = body[:pivot_index] + body[pivot_index + 1:]
-        for row in delta.rows(pivot.relation):
-            base = _match_atom(pivot, row, {})
-            if base is None:
+        rows = delta.rows(pivot.relation)
+        if not rows:
+            continue
+        anchor = atom_matcher(pivot)
+        plan = compile_plan(
+            body[:pivot_index] + body[pivot_index + 1:],
+            bound=pivot.variables(),
+            keep=head_vars,
+            database=instance,
+        )
+        key_of = plan.project(head_vars)
+        for row in rows:
+            values = anchor(row)
+            if values is None:
                 continue
-            for binding in _match_body(rest, instance, base):
-                key = tuple(binding[v] for v in body_vars)
+            for binding in plan.run(instance, values, deadline):
+                key = key_of(binding)
                 if key in seen:
                     continue
                 seen.add(key)
-                yield binding
+                yield key
 
 
 def datalog_fragment(rules: Sequence[TGD]) -> tuple[TGD, ...]:

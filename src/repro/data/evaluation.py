@@ -1,9 +1,12 @@
 """Conjunctive-query evaluation over :class:`~repro.data.database.Database`.
 
-Implements ``ans(q, D)`` of Section 3 for CQs and UCQs by an indexed
-backtracking join: atoms are processed most-bound-first, each step
-either probing a (relation, position) hash index when some argument is
-already bound or scanning the relation otherwise.
+Implements ``ans(q, D)`` of Section 3 for CQs and UCQs.  Every entry
+point runs a compiled :class:`~repro.data.plan.Plan`: a fixed join
+order with slot-bound variables, probing (relation, position) hash
+indexes where an argument is bound and scanning otherwise (see
+:mod:`repro.data.plan` for the plan shape).  A CQ's plan is compiled on
+its first evaluation and kept with the query object, so a cached
+rewriting is compiled once however often it is read.
 
 Two answer policies are provided:
 
@@ -12,6 +15,17 @@ Two answer policies are provided:
   chase instance as a plain database);
 * the ``certain=True`` flag filters tuples mentioning nulls, which is
   the filter used to read certain answers off a chase.
+
+**Snapshot contract.**  Every probe and scan iterates a snapshot of its
+bucket, so callers may add and discard facts between the yields of
+:func:`all_homomorphisms`; a step sees the facts present when the
+kernel enters it.
+
+**Deadlines.**  :func:`evaluate_cq`, :func:`evaluate_ucq` and
+:func:`holds` poll the deadline of
+:func:`~repro.data.plan.deadline_after` and raise
+:class:`~repro.lang.errors.DeadlineExceeded` once it has passed.  The
+homomorphism helpers serve fixpoint computations and never poll.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from repro.data.database import Database
+from repro.data.plan import compile_plan, current_deadline, query_plan
 from repro.lang.atoms import Atom
 from repro.lang.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.lang.terms import Null, Term, Variable
@@ -34,16 +49,7 @@ def evaluate_cq(
     Boolean queries return ``{()}`` when satisfied and ``frozenset()``
     otherwise.
     """
-    answers: set[tuple[Term, ...]] = set()
-    for binding in _match_body(list(query.body), database, {}):
-        row = tuple(
-            binding[t] if isinstance(t, Variable) else t
-            for t in query.answer_terms
-        )
-        if certain and any(isinstance(t, Null) for t in row):
-            continue
-        answers.add(row)
-    return frozenset(answers)
+    return _answers((query,), database, certain)
 
 
 def evaluate_ucq(
@@ -52,15 +58,35 @@ def evaluate_ucq(
     certain: bool = False,
 ) -> frozenset[tuple[Term, ...]]:
     """All answers of a UCQ (union of the disjuncts' answers)."""
+    if isinstance(query, ConjunctiveQuery):
+        return _answers((query,), database, certain)
+    return _answers(query.disjuncts, database, certain)
+
+
+def _answers(
+    disjuncts: Sequence[ConjunctiveQuery], database: Database, certain: bool
+) -> frozenset[tuple[Term, ...]]:
+    deadline = current_deadline()
+    count = database.count
     answers: set[tuple[Term, ...]] = set()
-    for cq in UnionOfConjunctiveQueries.of(query):
-        answers.update(evaluate_cq(cq, database, certain=certain))
+    for cq in disjuncts:
+        if not all(count(atom.relation) for atom in cq.body):
+            continue  # an empty relation: no answers, nothing to compile
+        plan = query_plan(cq, database)
+        answers.update(map(plan.answer, plan.run(database, (), deadline)))
+    if certain:
+        return frozenset(
+            row
+            for row in answers
+            if not any(isinstance(term, Null) for term in row)
+        )
     return frozenset(answers)
 
 
 def holds(query: ConjunctiveQuery, database: Database) -> bool:
     """True iff the boolean query (or some answer) is satisfied."""
-    for _ in _match_body(list(query.body), database, {}):
+    plan = query_plan(query, database)
+    for _ in plan.run(database, (), current_deadline()):
         return True
     return False
 
@@ -70,91 +96,19 @@ def find_homomorphism(
 ) -> dict[Variable, Term] | None:
     """A homomorphism from *atoms* into *database*, or None.
 
-    Used by the chase (applicability and satisfaction checks) and by
-    CQ containment via the canonical-database method.
+    Used by CQ containment via the canonical-database method.
     """
-    for binding in _match_body(list(atoms), database, {}):
-        return binding
-    return None
+    plan = compile_plan(atoms, database=database)
+    binding = plan.first(database)
+    if binding is None:
+        return None
+    return dict(zip(plan.variables, binding))
 
 
 def all_homomorphisms(
     atoms: Sequence[Atom], database: Database
 ) -> Iterator[dict[Variable, Term]]:
     """Every homomorphism from *atoms* into *database* (lazily)."""
-    return _match_body(list(atoms), database, {})
-
-
-def _match_body(
-    atoms: list[Atom],
-    database: Database,
-    binding: dict[Variable, Term],
-) -> Iterator[dict[Variable, Term]]:
-    """Backtracking join: yield every extension of *binding* matching *atoms*."""
-    if not atoms:
-        yield dict(binding)
-        return
-    index = _pick_next(atoms, database, binding)
-    atom = atoms[index]
-    rest = atoms[:index] + atoms[index + 1:]
-    for row in _candidate_rows(atom, database, binding):
-        extension = _match_atom(atom, row, binding)
-        if extension is None:
-            continue
-        yield from _match_body(rest, database, extension)
-
-
-def _pick_next(
-    atoms: list[Atom], database: Database, binding: dict[Variable, Term]
-) -> int:
-    """Greedy join order: prefer atoms with bound arguments, then small relations."""
-    best_index = 0
-    best_key: tuple[int, int] | None = None
-    for i, atom in enumerate(atoms):
-        bound = sum(
-            1
-            for t in atom.terms
-            if not isinstance(t, Variable) or t in binding
-        )
-        key = (-bound, database.count(atom.relation))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_index = i
-    return best_index
-
-
-def _candidate_rows(
-    atom: Atom, database: Database, binding: dict[Variable, Term]
-) -> tuple[tuple[Term, ...], ...]:
-    """Rows of the atom's relation worth trying under *binding*.
-
-    Probes the hash index on the first bound argument position, falling
-    back to a full relation scan when nothing is bound.
-    """
-    for position, term in enumerate(atom.terms, start=1):
-        if isinstance(term, Variable):
-            value = binding.get(term)
-            if value is not None:
-                return database.lookup(atom.relation, position, value)
-        else:
-            return database.lookup(atom.relation, position, term)
-    return tuple(database.rows(atom.relation))
-
-
-def _match_atom(
-    atom: Atom, row: tuple[Term, ...], binding: dict[Variable, Term]
-) -> dict[Variable, Term] | None:
-    """Extend *binding* so that *atom* maps onto *row*, or None."""
-    if len(row) != atom.arity:
-        return None
-    extension = dict(binding)
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Variable):
-            bound = extension.get(term)
-            if bound is None:
-                extension[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return extension
+    plan = compile_plan(atoms, database=database)
+    variables = plan.variables
+    return (dict(zip(variables, binding)) for binding in plan.run(database))

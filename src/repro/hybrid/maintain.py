@@ -33,16 +33,15 @@ starting over.  Counters: ``hybrid.delta_applied`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
-from repro.chase.chase import DEFAULT_MAX_STEPS, _head_satisfied
+from repro.chase.chase import DEFAULT_MAX_STEPS, CompiledRule, Match
 from repro.chase.nulls import NullFactory
 from repro.data.database import Database
-from repro.data.evaluation import _match_body, all_homomorphisms
 from repro.lang.atoms import Atom
 from repro.lang.errors import ChaseBudgetExceeded
-from repro.lang.terms import Term, Variable
+from repro.lang.terms import Term
 from repro.lang.tgd import TGD
 
 #: Minimum absolute delta size below which incremental maintenance is
@@ -108,6 +107,9 @@ class MaterializedCore:
         self.base: Database = (
             base.copy() if isinstance(base, Database) else Database(base)
         )
+        self._compiled = tuple(
+            CompiledRule(rule, self.base) for rule in self.rules
+        )
         self.instance: Database = Database()
         self._nulls = NullFactory()
         self._firings: list[Firing] = []
@@ -156,13 +158,11 @@ class MaterializedCore:
         while changed:
             changed = False
             rounds += 1
-            for rule_index, rule in enumerate(self.rules):
-                for hom in list(
-                    all_homomorphisms(rule.body, self.instance)
-                ):
-                    if _head_satisfied(rule, hom, self.instance):
+            for rule_index, rule in enumerate(self._compiled):
+                for match in list(rule.matches(self.instance)):
+                    if rule.satisfied(match, self.instance):
                         continue
-                    self._record_firing(rule_index, rule, hom)
+                    self._record_firing(rule_index, rule, match)
                     firings += 1
                     changed = True
                     if firings > self.max_steps:
@@ -174,22 +174,16 @@ class MaterializedCore:
     # -- firing with provenance ----------------------------------------
 
     def _record_firing(
-        self, rule_index: int, rule: TGD, hom: dict[Variable, Term]
+        self, rule_index: int, rule: CompiledRule, match: Match
     ) -> list[Atom]:
         """Fire one trigger, recording body/head provenance.
 
         Returns the facts genuinely added to the instance (facts that
         were already present gain an extra support instead).
         """
-        assignment: dict[Variable, Term] = dict(hom)
-        for var in rule.existential_head_variables():
-            assignment[var] = self._nulls.fresh()
-        body_facts = tuple(
-            _instantiate(atom, assignment) for atom in rule.body
-        )
-        produced = tuple(
-            _instantiate(atom, assignment) for atom in rule.head
-        )
+        invented = tuple(self._nulls.fresh() for _ in rule.existentials)
+        body_facts = rule.body_facts(match)
+        produced = rule.head_facts(match, invented)
         firing_id = len(self._firings)
         self._firings.append(
             Firing(rule_index=rule_index, body_facts=body_facts,
@@ -245,23 +239,16 @@ class MaterializedCore:
         frontier = list(delta)
         while frontier:
             rounds += 1
-            frontier_relations = {fact.relation for fact in frontier}
             next_frontier: list[Atom] = []
-            for rule_index, rule in enumerate(self.rules):
-                body_vars = rule.body_variables()
-                for hom in self._delta_homomorphisms(
-                    rule, frontier, frontier_relations
-                ):
-                    key = (
-                        rule_index,
-                        tuple(hom[v] for v in body_vars),
-                    )
+            for rule_index, rule in enumerate(self._compiled):
+                for match in rule.delta_matches(self.instance, frontier):
+                    key = (rule_index, match)
                     if key in seen:
                         continue
                     seen.add(key)
-                    if _head_satisfied(rule, hom, self.instance):
+                    if rule.satisfied(match, self.instance):
                         continue
-                    produced = self._record_firing(rule_index, rule, hom)
+                    produced = self._record_firing(rule_index, rule, match)
                     firings += 1
                     if firings > self.max_steps:
                         raise ChaseBudgetExceeded(
@@ -271,32 +258,6 @@ class MaterializedCore:
             added_total.extend(next_frontier)
             frontier = next_frontier
         return added_total, rounds, firings
-
-    def _delta_homomorphisms(
-        self,
-        rule: TGD,
-        frontier: Sequence[Atom],
-        frontier_relations: set[str],
-    ) -> Iterator[dict[Variable, Term]]:
-        """Homomorphisms of the rule body anchored at a frontier fact.
-
-        Every trigger new since the previous fixpoint maps at least one
-        body atom to a frontier fact, so anchoring each body position
-        in turn covers all of them (duplicates are filtered by the
-        caller's trigger-key set).
-        """
-        body = list(rule.body)
-        for position, atom in enumerate(body):
-            if atom.relation not in frontier_relations:
-                continue
-            rest = body[:position] + body[position + 1:]
-            for fact in frontier:
-                if fact.relation != atom.relation:
-                    continue
-                binding = _bind_atom(atom, fact)
-                if binding is None:
-                    continue
-                yield from _match_body(rest, self.instance, binding)
 
     # -- deletes (DRed) ------------------------------------------------
 
@@ -385,13 +346,13 @@ class MaterializedCore:
         affected = {fact.relation for fact in removed}
         added: list[Atom] = []
         firings = 0
-        for rule_index, rule in enumerate(self.rules):
-            if not any(atom.relation in affected for atom in rule.head):
+        for rule_index, rule in enumerate(self._compiled):
+            if not any(atom.relation in affected for atom in rule.rule.head):
                 continue
-            for hom in list(all_homomorphisms(rule.body, self.instance)):
-                if _head_satisfied(rule, hom, self.instance):
+            for match in list(rule.matches(self.instance)):
+                if rule.satisfied(match, self.instance):
                     continue
-                added.extend(self._record_firing(rule_index, rule, hom))
+                added.extend(self._record_firing(rule_index, rule, match))
                 firings += 1
                 if firings > self.max_steps:
                     raise ChaseBudgetExceeded(
@@ -434,30 +395,6 @@ class MaterializedCore:
         return restricted_chase(
             self.rules, self.base, max_steps=self.max_steps, strict=True
         ).instance
-
-
-def _instantiate(atom: Atom, assignment: dict[Variable, Term]) -> Atom:
-    terms = [
-        assignment[t] if isinstance(t, Variable) else t for t in atom.terms
-    ]
-    return Atom(atom.relation, terms)
-
-
-def _bind_atom(atom: Atom, fact: Atom) -> dict[Variable, Term] | None:
-    """Match one body atom against one ground fact, or None."""
-    if atom.relation != fact.relation or len(atom.terms) != len(fact.terms):
-        return None
-    binding: dict[Variable, Term] = {}
-    for pattern, value in zip(atom.terms, fact.terms):
-        if isinstance(pattern, Variable):
-            bound = binding.get(pattern)
-            if bound is None:
-                binding[pattern] = value
-            elif bound != value:
-                return None
-        elif pattern != value:
-            return None
-    return binding
 
 
 def _certain_shape(database: Database) -> set[Atom]:

@@ -98,3 +98,13 @@ class NotSupportedError(ReproError):
     For example, requesting the position graph of TGDs with multi-atom
     heads (the position graph is defined for single-head TGDs only).
     """
+
+
+class DeadlineExceeded(ReproError):
+    """Raised when query evaluation runs past its request's deadline.
+
+    The join kernel (:mod:`repro.data.plan`) polls the deadline set by
+    :func:`repro.data.plan.deadline_after` while it fetches candidate
+    rows, so a request that outran its deadline stops and frees its
+    worker instead of running to completion.
+    """

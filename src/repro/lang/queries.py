@@ -30,10 +30,12 @@ class ConjunctiveQuery:
     Equality is structural over the answer tuple and the body treated
     as an ordered tuple of atoms; use :meth:`canonical` for an order-
     and renaming-insensitive key.  The optional *span* is parse
-    provenance, ignored by equality and hashing.
+    provenance, ignored by equality and hashing.  ``_plan`` memoizes the
+    compiled join plan of :func:`repro.data.plan.query_plan`; it is
+    unset until the query is first evaluated and never pickled.
     """
 
-    __slots__ = ("name", "answer_terms", "body", "span", "_hash")
+    __slots__ = ("name", "answer_terms", "body", "span", "_hash", "_plan")
 
     def __init__(
         self,
@@ -57,6 +59,12 @@ class ConjunctiveQuery:
                     f"answer variable {term} does not occur in the body"
                 )
         self._hash = hash((self.answer_terms, self.body))
+
+    def __reduce__(self) -> tuple:
+        return (
+            ConjunctiveQuery,
+            (self.answer_terms, self.body, self.name, self.span),
+        )
 
     @property
     def arity(self) -> int:

@@ -21,15 +21,22 @@ from typing import Union
 class Variable:
     """A first-order variable, identified by its name.
 
-    Two variables with the same name are the same variable.
+    Two variables with the same name are the same variable.  The hash
+    is computed once: plans and rewritings key dicts and sets by
+    variables constantly.  It is never pickled (string hashes differ
+    between processes).
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not name:
             raise ValueError("variable name must be non-empty")
         self.name = name
+        self._hash = hash(("Variable", name))
+
+    def __reduce__(self) -> tuple:
+        return (Variable, (self.name,))
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -41,7 +48,7 @@ class Variable:
         return isinstance(other, Variable) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("Variable", self.name))
+        return self._hash
 
     def __lt__(self, other: "Term") -> bool:
         return _sort_key(self) < _sort_key(other)

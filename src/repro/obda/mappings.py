@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.data.database import Database
-from repro.data.evaluation import all_homomorphisms
+from repro.data.plan import compile_plan
 from repro.lang.atoms import Atom
 from repro.lang.errors import SafetyError
 from repro.lang.terms import Variable
@@ -57,12 +57,13 @@ def apply_mappings(
     """Materialise the virtual ABox induced by *mappings* over *source*."""
     abox = Database()
     for mapping in mappings:
-        for hom in all_homomorphisms(list(mapping.source_body), source):
-            terms = [
-                hom[t] if isinstance(t, Variable) else t
-                for t in mapping.target.terms
-            ]
-            abox.add(Atom(mapping.target.relation, terms))
+        target = mapping.target
+        plan = compile_plan(
+            mapping.source_body, keep=target.variables(), database=source
+        )
+        terms = plan.project(target.terms)
+        for binding in plan.run(source):
+            abox.add(Atom(target.relation, terms(binding)))
     return abox
 
 

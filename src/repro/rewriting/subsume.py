@@ -35,7 +35,7 @@ import threading
 from typing import Iterable, Iterator, Sequence
 
 from repro.data.database import Database
-from repro.data.evaluation import all_homomorphisms
+from repro.data.plan import Plan, compile_plan
 from repro.lang.atoms import Atom
 from repro.lang.queries import ConjunctiveQuery
 from repro.lang.terms import Constant, Term, Variable
@@ -103,6 +103,7 @@ class CQProfile:
         "answer_pattern",
         "_frozen_answers",
         "_canonical",
+        "_plan",
     )
 
     def __init__(self, query: ConjunctiveQuery):
@@ -132,6 +133,14 @@ class CQProfile:
         self.answer_pattern = tuple(terms.index(t) for t in terms)
         self._frozen_answers: tuple[Term, ...] | None = None
         self._canonical: Database | None = None
+        self._plan: Plan | None = None
+
+    def plan(self) -> Plan:
+        """The (cached) plan checking this CQ as a subsumer."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = answer_bound_plan(self.query)
+        return plan
 
     def frozen(self) -> tuple[Database, tuple[Term, ...]]:
         """The (cached) canonical database and frozen answer tuple."""
@@ -230,22 +239,36 @@ def naive_is_subsumed(
         return False
     canonical = freeze_body(subsumee.body)
     frozen_answers = tuple(freeze_term(t) for t in subsumee.answer_terms)
-    return _hom_exists(subsumer, canonical, frozen_answers)
+    return _hom_exists(
+        answer_bound_plan(subsumer), subsumer, canonical, frozen_answers
+    )
+
+
+def answer_bound_plan(query: ConjunctiveQuery) -> Plan:
+    """The plan of *query*'s body with its answer variables pre-bound
+    and nothing kept: it asks whether some homomorphism extends a given
+    answer image."""
+    return compile_plan(query.body, bound=query.answer_variables, keep=())
 
 
 def _hom_exists(
+    plan: Plan,
     subsumer: ConjunctiveQuery,
     canonical: Database,
     frozen_answers: tuple[Term, ...],
 ) -> bool:
-    for hom in all_homomorphisms(list(subsumer.body), canonical):
-        image = tuple(
-            hom[t] if isinstance(t, Variable) else t
-            for t in subsumer.answer_terms
-        )
-        if image == frozen_answers:
-            return True
-    return False
+    """A homomorphism from *subsumer* into *canonical* mapping its
+    answer tuple onto *frozen_answers*?  *plan* is the subsumer's
+    :func:`answer_bound_plan`."""
+    image: dict[Variable, Term] = {}
+    for term, target in zip(subsumer.answer_terms, frozen_answers):
+        if isinstance(term, Variable):
+            if image.setdefault(term, target) != target:
+                return False
+        elif term != target:
+            return False
+    values = tuple(image[var] for var in plan.variables[: plan.bound])
+    return plan.first(canonical, values) is not None
 
 
 def naive_remove_subsumed(
@@ -341,7 +364,9 @@ class SubsumptionKernel:
             return False
         self.hom_checks += 1
         canonical, frozen_answers = subsumee_profile.frozen()
-        return _hom_exists(subsumer, canonical, frozen_answers)
+        return _hom_exists(
+            subsumer_profile.plan(), subsumer, canonical, frozen_answers
+        )
 
     def skip_bucket(self, count: int) -> None:
         """Record *count* pairs rejected wholesale by the bucket index.

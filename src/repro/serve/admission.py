@@ -16,8 +16,8 @@ counters (see ``docs/serving.md`` for the catalogue):
 * ``serve.admitted`` / ``serve.shed`` -- admission decisions;
 * ``serve.completed`` / ``serve.errors`` -- terminal outcomes;
 * ``serve.deadline_exceeded`` -- requests that hit their deadline
-  (the worker still finishes and releases its slot; the client got
-  504 early);
+  (the client got 504; query evaluation stops at its next deadline
+  poll and the worker then releases its slot);
 * ``serve.inflight`` -- gauge (histogram observations) of concurrent
   admitted requests.
 """
@@ -97,7 +97,8 @@ class AdmissionController:
             obs.observe("serve.inflight", self._inflight)
 
     def record_deadline_exceeded(self) -> None:
-        """Count a request that outran its deadline (slot still held)."""
+        """Count a request that outran its deadline (slot held until its
+        worker stops)."""
         with self._lock:
             self._deadline_exceeded += 1
         obs.count("serve.deadline_exceeded")

@@ -6,7 +6,7 @@ Request lifecycle of ``POST /v1/query``::
       │                │
       │ full           │ deadline passed
       ▼                ▼
-    429 + Retry-After  504 (worker finishes; slot released at completion)
+    429 + Retry-After  504 (evaluation stops; slot released when it does)
 
 Design points worth naming:
 
@@ -15,12 +15,15 @@ Design points worth naming:
   ``workers + queue_depth``, so at most ``queue_depth`` requests are
   ever parked in the executor's internal queue and everything beyond
   that is shed immediately with an honest ``Retry-After``.
-* **Deadlines do not free slots early.**  A request that outruns
-  ``deadline_seconds`` gets its 504 immediately (``asyncio.wait_for``),
-  but the worker thread cannot be interrupted mid-rewriting -- the
-  ticket is released from the ``concurrent.futures`` done-callback
-  when the thread actually finishes, keeping the capacity accounting
-  truthful under overload.
+* **Deadlines free their worker.**  A request that outruns
+  ``deadline_seconds`` gets its 504 immediately (``asyncio.wait_for``).
+  The worker runs under the same deadline
+  (:func:`repro.data.plan.deadline_after`): query evaluation polls it
+  and raises :class:`~repro.lang.errors.DeadlineExceeded`, so the
+  thread stops within a few thousand candidate rows.  The ticket is
+  released from the ``concurrent.futures`` done-callback when the
+  thread actually returns, keeping the capacity accounting truthful;
+  rewriting is bounded by the budget below instead.
 * **One budget per server, not per request.**  The server deadline is
   mapped onto the rewriting budget *once* at boot
   (:meth:`EngineOptions.with_deadline`); per-request budgets would
@@ -47,7 +50,8 @@ from typing import Any, Callable
 from repro import obs
 from repro.api.options import EngineOptions
 from repro.api.session import Session
-from repro.lang.errors import ReproError
+from repro.data.plan import deadline_after
+from repro.lang.errors import DeadlineExceeded, ReproError
 from repro.serve.admission import AdmissionController
 from repro.serve.http import (
     HttpError,
@@ -320,16 +324,21 @@ class ReproServer:
             )
 
         loop = asyncio.get_running_loop()
+        deadline = self.config.deadline_seconds
         future = self._executor.submit(
-            self._execute_query, tenant, query_text, backend, target
+            self._execute_query,
+            tenant,
+            query_text,
+            backend,
+            target,
+            None if deadline is None else time.monotonic() + deadline,
         )
-        # The slot is freed when the *thread* finishes, never earlier:
-        # a deadline-exceeded request still occupies its worker until
-        # the rewriting/evaluation actually returns.  A request whose
-        # deadline fires while it is still *queued* gets cancelled by
-        # wait_for before it ever runs -- .exception() on a cancelled
-        # future raises, so check .cancelled() first or the callback
-        # dies and the slot leaks forever.
+        # The slot is freed when the *thread* finishes, never earlier;
+        # past the deadline evaluation raises, so that is soon.  A
+        # request whose deadline fires while it is still *queued* gets
+        # cancelled by wait_for before it ever runs -- .exception() on
+        # a cancelled future raises, so check .cancelled() first or the
+        # callback dies and the slot leaks forever.
         future.add_done_callback(
             lambda f: ticket.release(
                 error=f.cancelled() or f.exception() is not None
@@ -338,9 +347,9 @@ class ReproServer:
         try:
             result = await asyncio.wait_for(
                 asyncio.wrap_future(future, loop=loop),
-                timeout=self.config.deadline_seconds,
+                timeout=deadline,
             )
-        except asyncio.TimeoutError:
+        except (asyncio.TimeoutError, DeadlineExceeded):
             self.admission.record_deadline_exceeded()
             return encode_response(
                 504,
@@ -444,12 +453,17 @@ class ReproServer:
         query_text: str,
         backend: str,
         target: str | None,
+        deadline: float | None,
     ) -> dict[str, Any]:
+        """Answer one query; *deadline* is a ``time.monotonic()`` instant."""
         if self._before_execute is not None:
             self._before_execute()
         started = time.perf_counter()
         session: Session = self.registry.session(tenant)
-        with obs.span("serve.query", tenant=tenant, backend=backend) as span:
+        remaining = None if deadline is None else deadline - time.monotonic()
+        with obs.span(
+            "serve.query", tenant=tenant, backend=backend
+        ) as span, deadline_after(remaining):
             prepared = session.prepare(query_text, target=target)
             answers = prepared.answer(backend=backend, require_complete=False)
             span.set(answers=len(answers), complete=prepared.complete)

@@ -129,3 +129,42 @@ class TestHomomorphisms:
         database = db("r(a, b).")
         assert holds(parse_query("q() :- r(X, Y)"), database)
         assert not holds(parse_query("q() :- r(X, X)"), database)
+
+    def test_generator_survives_mutation_between_yields(self):
+        # The chase, Datalog and maintenance add facts while a match
+        # generator is live.  Each step iterates a snapshot taken when
+        # the join enters it: the scan of r keeps the rows it started
+        # with (a discarded row is still visited, a new one is not),
+        # and a probe of s entered after the writes sees them.
+        Z = Variable("Z")
+        database = db(
+            "r(a, 1). r(b, 2). r(c, 3). s(1, x). s(2, y). s(3, z)."
+        )
+        r_rows = sorted(database.rows("r"))
+        s_of = {row[0]: row[1] for row in database.rows("s")}
+        homs = all_homomorphisms(
+            [Atom("r", [X, Y]), Atom("s", [Y, Z])], database
+        )
+        first = next(homs)
+        w = Constant("w")
+        for key in s_of:
+            database.add(Atom("s", [key, w]))
+        for row in r_rows:
+            database.discard(Atom("r", row))
+        database.add(Atom("r", [Constant("d"), Constant(1)]))
+        rest = list(homs)
+        assert first == {X: first[X], Y: first[Y], Z: s_of[first[Y]]}
+        expected = [
+            {X: x, Y: y, Z: z}
+            for x, y in r_rows
+            if x != first[X]
+            for z in (s_of[y], w)
+        ]
+        assert len(rest) == len(expected) == 4
+        assert sorted(map(sorted_items, rest)) == sorted(
+            map(sorted_items, expected)
+        )
+
+
+def sorted_items(binding):
+    return sorted((var.name, str(value)) for var, value in binding.items())

@@ -57,3 +57,57 @@ def test_launcher_spans_cover_compile_and_cache_put(tmp_path):
     # The Datalog compile adds exactly one of each.
     assert all_spans.count("rewriting.rewrite") == 2
     assert all_spans.count("api.cache_put") == 2
+
+
+READ_AND_INSERT = """
+import json
+import launcher
+launcher.install()
+from repro.api import EngineOptions, Session
+from repro.data.database import Database
+from repro.lang.parser import parse_database, parse_program
+
+rules = parse_program("R1: professor(X) -> teaches(X, Y).")
+data = Database(parse_database("professor(ada). teaches(bob, c1)."))
+query = "q(X) :- teaches(X, Y)"
+with Session(rules, data) as session:
+    session.prepare(query).result
+    del launcher._SPANS[:]
+    answers = session.answer(query)
+read = [[span[0] for span in launcher._SPANS], len(answers)]
+materialize = EngineOptions(hybrid="materialize")
+with Session(rules, data, options=materialize) as session:
+    session.answer(query)
+    del launcher._SPANS[:]
+    session.insert("professor(cy).")
+    inserted = [span[0] for span in launcher._SPANS]
+    answers = session.answer(query)
+print(json.dumps([read, [inserted, len(answers)]]))
+"""
+
+
+def test_launcher_spans_cover_memory_read_and_hybrid_insert():
+    """``data.evaluate_ucq_ms`` and ``hybrid.apply_insert_ms`` are read off
+    these spans: one per memory read, one per materialized insert."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "perfbench")]
+        ),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", READ_AND_INSERT],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (read, read_answers), (inserted, answers) = json.loads(
+        done.stdout.splitlines()[-1]
+    )
+    assert read.count("data.evaluate_ucq") == 1
+    assert read_answers == 2
+    assert inserted.count("hybrid.apply_insert") == 1
+    assert answers == 3

@@ -10,7 +10,9 @@ import pytest
 from repro import obs
 from repro.api import EngineOptions
 from repro.data.database import Database
+from repro.lang.atoms import Atom
 from repro.lang.parser import parse_database, parse_program
+from repro.lang.terms import Constant
 from repro.serve import (
     BackgroundServer,
     ReproServer,
@@ -189,6 +191,39 @@ class TestAdmission:
                     time.sleep(0.01)
         assert trace.counter("serve.deadline_exceeded") == 1
         assert trace.counter("serve.admitted") == 1
+
+    def test_deadline_stops_evaluation_and_frees_the_worker(self):
+        # A triangle query over a dense random graph checks ~8M
+        # candidate rows: seconds of work in-process.  Past the 50 ms
+        # deadline the client gets 504 and the join kernel gives up, so
+        # the worker and its admission slot come back long before the
+        # query could have finished (and the worker's run ends in an
+        # error).
+        import random
+
+        rng = random.Random(0)
+        graph = Database(
+            Atom("edge", [Constant(i), Constant(j)])
+            for i in range(120)
+            for j in rng.sample(range(120), 40)
+        )
+        server = _server(workers=1, queue_depth=1, deadline_seconds=0.05)
+        server.registry.register("graph", parse_program(PROGRAM), graph)
+        query = "q(X) :- edge(X, Y), edge(Y, Z), edge(Z, X)"
+        with obs.capture() as trace:
+            with BackgroundServer(server) as (host, port):
+                started = time.monotonic()
+                status, _, _ = _request(
+                    host, port, "POST", "/v1/query",
+                    {"tenant": "graph", "query": query},
+                )
+                assert status == 504
+                while server.admission.inflight:
+                    assert time.monotonic() - started < 2.0, "worker not freed"
+                    time.sleep(0.01)
+        assert trace.counter("serve.deadline_exceeded") == 1
+        assert trace.counter("serve.errors") == 1
+        assert trace.counter("serve.completed") == 0
 
     def test_deadline_tightens_the_rewriting_budget(self):
         config = ServeConfig(
